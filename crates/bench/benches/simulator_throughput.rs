@@ -1,33 +1,23 @@
 //! Dispatch-layer payoff of the Monte-Carlo engine: the same
-//! estimation workload through the fully-dynamic v1 loop
-//! ([`Simulation::run_dyn`]: one virtual call per decision, one
-//! scalar RNG call per uniform), through the generic fallback with
-//! buffered sampling (virtual decisions, chunked uniforms), through
-//! the monomorphized sequential kernel (decision inlined, chunked
-//! uniforms, the exact v2 stream via [`KernelStream::Sequential`]),
-//! and through the lane-batched v3 kernel ([`Simulation::run`]'s
-//! default: branch-free `[f64; LANES]` trial groups on the
-//! counter-addressed Threefry stream).
+//! estimation workload through the engine's retired v1 loop, frozen
+//! below as [`dyn_baseline`] (one virtual call per decision, one
+//! scalar RNG call per uniform on a sequential xoshiro stream), and
+//! through the engine's lane loop ([`Simulation::run`]: branch-free
+//! `[f64; 16]` trial groups on the counter-addressed Threefry
+//! stream) — once with the rule's monomorphized kernel (`lane` rows)
+//! and once with the rule hidden behind an opaque wrapper, which pays
+//! a virtual `decide` per decision on the same lanes (`opaque` rows).
 //!
-//! The sequential paths are bit-identical by construction — asserted
-//! here before any timing — so their speedups are pure dispatch and
-//! sampling overhead. The lane path is a different (v3) stream with
-//! the same estimator: lane widths are asserted bit-identical to each
-//! other and the estimate is asserted statistically consistent with
-//! the sequential one.
+//! The baseline draws a different stream than the engine, so it is
+//! asserted statistically consistent with the lane estimate; the
+//! opaque and lane paths are asserted bit-identical before any
+//! timing.
 //!
 //! Every row is measured **paired**: baseline and optimized run
 //! back-to-back with alternating order inside each sample, and the
 //! recorded `cold_ns`/`memoized_ns` are the per-side minima, so
 //! `speedup` is the paired min-time ratio (the least-noise estimate
-//! for CPU-bound work — the PR 4 overhead-gate methodology, now used
-//! for all rows; medians drifted enough on shared hardware that a
-//! previously recorded 0.918x on one `buffered` row was
-//! indistinguishable from noise). Under paired minima the `buffered`
-//! rows settle at a real, uniform ≈0.93x: buffering alone buys
-//! nothing when every decision is still a virtual call — it pays
-//! only combined with monomorphized kernels, which is exactly what
-//! the `kernel+buffered` rows isolate.
+//! for CPU-bound work; medians drift on shared hardware).
 //!
 //! Modes: `--smoke` (single short iteration, scratch output path;
 //! CI's bench-smoke step), `--quick` (short paired measurement to a
@@ -38,17 +28,22 @@
 use bench::{write_bench_json, PairedTiming};
 use criterion::black_box;
 use decision::{Bin, LocalRule, ObliviousAlgorithm, SingleThresholdAlgorithm};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rational::Rational;
-use simulator::{EngineMetrics, KernelStream, LaneWidth, Simulation, SimulationReport};
+use simulator::{EngineMetrics, Simulation, SimulationReport};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 const DELTA: f64 = 1.0;
 const SIZES: [usize; 3] = [3, 5, 8];
+const SEED: u64 = 42;
+/// Trials per batch of the frozen baseline (the engine's default).
+const BASELINE_BATCH: u64 = 16_384;
 
 /// Hides a rule's kernel hint, forcing the engine onto the generic
-/// per-decision path while keeping buffered sampling.
+/// per-decision kernel.
 struct Opaque<'a>(&'a dyn LocalRule);
 
 impl LocalRule for Opaque<'_> {
@@ -58,6 +53,42 @@ impl LocalRule for Opaque<'_> {
     fn decide(&self, player: usize, input: f64, coin: f64) -> Bin {
         self.0.decide(player, input, coin)
     }
+}
+
+/// The engine's crash-free trial loop as it stood before the lanes,
+/// frozen here as the ratio baseline: one xoshiro generator per batch
+/// seeded through a SplitMix64 finalizer, one `gen_range` call per
+/// uniform (input, then coin, per player), and one virtual `decide`
+/// per decision. Single-threaded, like every row of this bench.
+fn dyn_baseline(rule: &dyn LocalRule, delta: f64, trials: u64, seed: u64) -> SimulationReport {
+    fn splitmix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+    let n = rule.n();
+    let mut wins = 0u64;
+    for batch in 0..trials.div_ceil(BASELINE_BATCH) {
+        let count = BASELINE_BATCH.min(trials - batch * BASELINE_BATCH);
+        let mut rng =
+            StdRng::seed_from_u64(splitmix(seed ^ batch.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        for _ in 0..count {
+            let mut sums = [0.0f64; 2];
+            for player in 0..n {
+                let input: f64 = rng.gen_range(0.0..1.0);
+                let coin: f64 = rng.gen_range(0.0..1.0);
+                match rule.decide(player, input, coin) {
+                    Bin::Zero => sums[0] += input,
+                    Bin::One => sums[1] += input,
+                }
+            }
+            if sums[0] <= delta && sums[1] <= delta {
+                wins += 1;
+            }
+        }
+    }
+    SimulationReport::from_counts(wins, trials)
 }
 
 /// One timed invocation.
@@ -126,8 +157,7 @@ fn main() {
     };
     // Single-threaded engine: the comparison isolates dispatch and
     // sampling cost per core, independent of pool scheduling.
-    let sim = Simulation::new(trials, 42).with_threads(1);
-    let sequential = sim.clone().with_kernel_stream(KernelStream::Sequential);
+    let sim = Simulation::new(trials, SEED).with_threads(1);
 
     println!(
         "simulator_throughput: {trials} trials/run, δ = {DELTA}, single-threaded{}",
@@ -146,119 +176,69 @@ fn main() {
         let threshold = SingleThresholdAlgorithm::symmetric(n, Rational::ratio(622, 1000))
             .expect("valid symmetric thresholds");
         let oblivious = ObliviousAlgorithm::fair(n);
+        let rules: [(&str, &dyn LocalRule); 2] =
+            [("threshold", &threshold), ("oblivious", &oblivious)];
+        for (family, rule) in rules {
+            // Transparency first: the opaque path runs the same lanes
+            // as the kernel and must agree exactly; the baseline is a
+            // different stream estimating the same probability.
+            let lane_ref = sim.run(rule, DELTA);
+            assert_eq!(sim.run(&Opaque(rule), DELTA), lane_ref);
+            let base_ref = dyn_baseline(rule, DELTA, trials, SEED);
+            assert!(
+                lane_ref.agrees_with(base_ref.estimate, 5.0),
+                "{family} n = {n}: lane {lane_ref} vs baseline {base_ref}"
+            );
 
-        // Transparency first. The sequential paths share one logical
-        // stream and must agree exactly...
-        let seq_ref = sequential.run(&threshold, DELTA);
-        assert_eq!(sequential.run(&Opaque(&threshold), DELTA), seq_ref);
-        assert_eq!(sim.run_dyn(&threshold, DELTA), seq_ref);
-        assert_eq!(
-            sequential.run(&Opaque(&oblivious), DELTA),
-            sequential.run(&oblivious, DELTA)
-        );
-        assert_eq!(
-            sim.run_dyn(&oblivious, DELTA),
-            sequential.run(&oblivious, DELTA)
-        );
-        // ...while the lane path is width-invariant on its own (v3)
-        // stream and statistically consistent with the sequential
-        // estimate.
-        let lane_ref = sim.run(&threshold, DELTA);
-        for width in [LaneWidth::W1, LaneWidth::W8] {
-            let widened = sim.clone().with_lane_width(width);
-            assert_eq!(widened.run(&threshold, DELTA), lane_ref);
+            let (dyn_ns, lane_ns) = paired_min_ns(
+                samples,
+                || dyn_baseline(rule, DELTA, trials, SEED),
+                || sim.run(rule, DELTA),
+            );
+            timings.push(PairedTiming {
+                label: format!("{family} n = {n} · lane"),
+                cold_ns: dyn_ns,
+                memoized_ns: lane_ns,
+            });
+            let (dyn_opaque_ns, opaque_ns) = paired_min_ns(
+                samples,
+                || dyn_baseline(rule, DELTA, trials, SEED),
+                || sim.run(&Opaque(rule), DELTA),
+            );
+            timings.push(PairedTiming {
+                label: format!("{family} n = {n} · opaque"),
+                cold_ns: dyn_opaque_ns,
+                memoized_ns: opaque_ns,
+            });
+            print!(
+                "{family} n = {n}: dyn {:>12.0}/s   lane {:>12.0}/s ({:.2}x)   opaque {:>12.0}/s ({:.2}x)",
+                trials_per_sec(trials, dyn_ns),
+                trials_per_sec(trials, lane_ns),
+                dyn_ns / lane_ns,
+                trials_per_sec(trials, opaque_ns),
+                dyn_opaque_ns / opaque_ns,
+            );
+            if family == "threshold" {
+                // The instrumented lane path: same engine, a live
+                // EngineMetrics sink attached. Flushes are per batch,
+                // so this must stay within noise of the plain path.
+                let metered_sim = sim.clone().with_metrics(Arc::new(EngineMetrics::new()));
+                assert_eq!(metered_sim.run(rule, DELTA), lane_ref);
+                let (plain_ns, metered_ns) = paired_min_ns(
+                    samples,
+                    || sim.run(rule, DELTA),
+                    || metered_sim.run(rule, DELTA),
+                );
+                metrics_ratios.push((n, metered_ns / plain_ns));
+                timings.push(PairedTiming {
+                    label: format!("threshold n = {n} · kernel+metrics"),
+                    cold_ns: plain_ns,
+                    memoized_ns: metered_ns,
+                });
+                print!("   metered ({:.3}x of lane)", metered_ns / plain_ns);
+            }
+            println!();
         }
-        assert!(
-            lane_ref.agrees_with(seq_ref.estimate, 5.0),
-            "lane vs sequential estimate at n = {n}: {lane_ref} vs {seq_ref}"
-        );
-
-        let (dyn_ns, buffered_ns) = paired_min_ns(
-            samples,
-            || sim.run_dyn(&threshold, DELTA),
-            || sequential.run(&Opaque(&threshold), DELTA),
-        );
-        timings.push(PairedTiming {
-            label: format!("threshold n = {n} · buffered"),
-            cold_ns: dyn_ns,
-            memoized_ns: buffered_ns,
-        });
-        let (dyn_ns, kernel_ns) = paired_min_ns(
-            samples,
-            || sim.run_dyn(&threshold, DELTA),
-            || sequential.run(&threshold, DELTA),
-        );
-        timings.push(PairedTiming {
-            label: format!("threshold n = {n} · kernel+buffered"),
-            cold_ns: dyn_ns,
-            memoized_ns: kernel_ns,
-        });
-        let (dyn_ns, lane_ns) = paired_min_ns(
-            samples,
-            || sim.run_dyn(&threshold, DELTA),
-            || sim.run(&threshold, DELTA),
-        );
-        timings.push(PairedTiming {
-            label: format!("threshold n = {n} · lane"),
-            cold_ns: dyn_ns,
-            memoized_ns: lane_ns,
-        });
-        // The instrumented lane path: same engine, a live
-        // EngineMetrics sink attached. Flushes are per batch, so this
-        // must stay within noise of the uninstrumented path.
-        let metered_sim = sim.clone().with_metrics(Arc::new(EngineMetrics::new()));
-        assert_eq!(metered_sim.run(&threshold, DELTA), lane_ref);
-        let (plain_ns, metered_ns) = paired_min_ns(
-            samples,
-            || sim.run(&threshold, DELTA),
-            || metered_sim.run(&threshold, DELTA),
-        );
-        metrics_ratios.push((n, metered_ns / plain_ns));
-        timings.push(PairedTiming {
-            label: format!("threshold n = {n} · kernel+metrics"),
-            cold_ns: plain_ns,
-            memoized_ns: metered_ns,
-        });
-        println!(
-            "threshold n = {n}: dyn {:>12.0}/s   buffered {:>12.0}/s ({:.2}x)   kernel {:>12.0}/s ({:.2}x)   lane {:>12.0}/s ({:.2}x)   metered ({:.3}x of lane)",
-            trials_per_sec(trials, dyn_ns),
-            trials_per_sec(trials, buffered_ns),
-            dyn_ns / buffered_ns,
-            trials_per_sec(trials, kernel_ns),
-            dyn_ns / kernel_ns,
-            trials_per_sec(trials, lane_ns),
-            dyn_ns / lane_ns,
-            metered_ns / plain_ns,
-        );
-
-        let (dyn_ns, kernel_ns) = paired_min_ns(
-            samples,
-            || sim.run_dyn(&oblivious, DELTA),
-            || sequential.run(&oblivious, DELTA),
-        );
-        timings.push(PairedTiming {
-            label: format!("oblivious n = {n} · kernel+buffered"),
-            cold_ns: dyn_ns,
-            memoized_ns: kernel_ns,
-        });
-        let (dyn_ns, lane_ns) = paired_min_ns(
-            samples,
-            || sim.run_dyn(&oblivious, DELTA),
-            || sim.run(&oblivious, DELTA),
-        );
-        timings.push(PairedTiming {
-            label: format!("oblivious n = {n} · lane"),
-            cold_ns: dyn_ns,
-            memoized_ns: lane_ns,
-        });
-        println!(
-            "oblivious n = {n}: dyn {:>12.0}/s   kernel {:>12.0}/s ({:.2}x)   lane {:>12.0}/s ({:.2}x)",
-            trials_per_sec(trials, dyn_ns),
-            trials_per_sec(trials, kernel_ns),
-            dyn_ns / kernel_ns,
-            trials_per_sec(trials, lane_ns),
-            dyn_ns / lane_ns,
-        );
     }
 
     let path = output_path(smoke, quick);
@@ -273,11 +253,6 @@ fn main() {
                 .unwrap_or_else(|| panic!("row {label} measured"))
                 .speedup()
         };
-        let kernel_n8 = speedup_of("threshold n = 8 · kernel+buffered");
-        assert!(
-            kernel_n8 >= 2.0,
-            "monomorphized+buffered must be at least 2x over dyn dispatch at n = 8, got {kernel_n8:.2}x"
-        );
         let lane_n8 = speedup_of("threshold n = 8 · lane");
         assert!(
             lane_n8 >= 4.0,

@@ -86,9 +86,9 @@ mod xoshiro {
 /// Unlike the sequential [`rngs::StdRng`] stream, nothing here has
 /// mutable state: the caller addresses randomness by counter, so any
 /// draw can be produced (or reproduced) in isolation. The simulator's
-/// stream-v3 lane kernel builds on exactly that — lane `j` of
-/// trial-batch `i` derives its uniforms from counters that encode
-/// `(batch, trial, draw)`, which makes lane-width, thread-count, and
+/// lane loop builds on exactly that — lane `j` of trial-batch `i`
+/// derives its uniforms from counters that encode
+/// `(batch, trial, kind, player)`, which makes lane-width, thread-count, and
 /// checkpoint/resume invariance properties hold by construction
 /// rather than by careful stream bookkeeping.
 ///

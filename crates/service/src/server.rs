@@ -26,7 +26,7 @@ use decision::certified::ThresholdTable;
 use decision::LocalRule;
 use orchestrator::{run_sweep_with_metrics, OrchestratorConfig, WorkerSpec};
 use simulator::{Simulation, SweepCheckpoint};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -450,8 +450,15 @@ fn accept_loop(
     }
 }
 
+/// Longest request line the daemon reads, newline excluded. Every
+/// well-formed request is far shorter; a peer that streams more bytes
+/// without a newline gets an error reply and is disconnected instead
+/// of growing the connection's buffer without bound.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 /// Serves one connection: one JSON request per line, one JSON
-/// response per line, until EOF, a transport error, or shutdown.
+/// response per line, until EOF, a transport error, an over-long
+/// line, or shutdown.
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // The poll timeout bounds how long an *idle* connection can delay
     // a drain; a request already being served always completes.
@@ -465,22 +472,33 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         return;
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap: a line that still has
+        // no newline then is over-long, whatever follows it.
+        let budget = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF
             Ok(_) => {
-                if line.trim().is_empty() {
-                    line.clear();
-                    continue;
-                }
-                let response = match Envelope::parse(&line) {
-                    Ok(envelope) => shared.answer(&envelope),
-                    Err(message) => Response {
-                        id: 0,
-                        outcome: Err(message),
-                        metrics: shared.metrics.frame(),
-                    },
+                let complete = line.last() == Some(&b'\n');
+                let over_long = line.len() - usize::from(complete) > MAX_REQUEST_LINE;
+                let response = if over_long {
+                    error_response(
+                        shared,
+                        format!(
+                            "request line exceeds {MAX_REQUEST_LINE} bytes; closing the connection"
+                        ),
+                    )
+                } else {
+                    let text = String::from_utf8_lossy(&line);
+                    if text.trim().is_empty() {
+                        line.clear();
+                        continue;
+                    }
+                    match Envelope::parse(&text) {
+                        Ok(envelope) => shared.answer(&envelope),
+                        Err(message) => error_response(shared, message),
+                    }
                 };
                 line.clear();
                 let mut payload = response.to_json();
@@ -488,7 +506,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 if writer.write_all(payload.as_bytes()).is_err() || writer.flush().is_err() {
                     return; // client went away mid-response
                 }
-                if matches!(response.outcome, Ok(Outcome::ShuttingDown)) {
+                if over_long || matches!(response.outcome, Ok(Outcome::ShuttingDown)) {
                     return;
                 }
             }
@@ -503,5 +521,14 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(_) => return,
         }
+    }
+}
+
+/// The reply to a line that carries no answerable request.
+fn error_response(shared: &Shared, message: String) -> Response {
+    Response {
+        id: 0,
+        outcome: Err(message),
+        metrics: shared.metrics.frame(),
     }
 }

@@ -39,9 +39,9 @@ pub enum FaultKind {
         /// Stall length in milliseconds.
         millis: u64,
     },
-    /// The uniform-buffer refill for the batch is detected as corrupt
-    /// before any trial consumes it; the attempt aborts and is retried
-    /// in place with a clean stream.
+    /// The batch's uniforms are detected as corrupt before any trial
+    /// consumes them; the attempt aborts and is retried in place with
+    /// a clean stream.
     PoisonedRefill,
 }
 
@@ -51,7 +51,7 @@ pub enum FaultKind {
 pub(crate) enum ChaosUnwind {
     /// An injected [`FaultKind::WorkerPanic`].
     WorkerPanic,
-    /// An injected [`FaultKind::PoisonedRefill`] tripping the refill
+    /// An injected [`FaultKind::PoisonedRefill`] tripping the uniforms'
     /// integrity check.
     PoisonedRefill,
 }

@@ -1,6 +1,6 @@
 //! The batched, multi-threaded Monte-Carlo engine.
 //!
-//! # Dispatch layers
+//! # Dispatch
 //!
 //! The hot loop is monomorphized: [`Simulation::run`] asks the rule
 //! for a [`KernelHint`] once per run and selects a compiled kernel —
@@ -8,77 +8,63 @@
 //! coin-flip compare for [`decision::ObliviousAlgorithm`] — so the
 //! per-player decision is inlined with no virtual call and no
 //! `Rational → f64` conversion inside the loop. Rules reporting
-//! [`KernelHint::Opaque`] fall back to calling
-//! [`LocalRule::decide`] per decision. The entry points are generic
-//! over `R: LocalRule + ?Sized`, so `&dyn LocalRule` callers keep
-//! working unchanged (one virtual `kernel_hint` call still routes
-//! them onto the fast path); [`Simulation::run_dyn`] pins the old
-//! fully-dynamic loop as a benchmark baseline.
+//! [`KernelHint::Opaque`] run the same lane loop through a kernel
+//! that calls [`LocalRule::decide`] per decision. The entry points are
+//! generic over `R: LocalRule + ?Sized`, so `&dyn LocalRule` callers
+//! keep working unchanged (one virtual `kernel_hint` call still routes
+//! them onto the fast path).
 //!
 //! # RNG stream versioning
 //!
-//! Each batch draws from a stream that is a pure function of
-//! `(seed, batch)`. The *shape* of that stream — how many uniforms a
-//! trial consumes — is versioned by [`RNG_STREAM_VERSION`]:
+//! The uniforms a run consumes are versioned by
+//! [`RNG_STREAM_VERSION`]:
 //!
-//! * **v1** (through PR 2): every player drew three uniforms per
-//!   trial — input, coin, and a fault coin even when `p_crash = 0`.
-//! * **v2** (through PR 7, still carried by the sequential paths):
-//!   under the default [`FaultStream::OnDemand`], the fault draw is
-//!   skipped entirely when `p_crash = 0`, so a crash-free trial
-//!   consumes two uniforms per player.
-//!   [`FaultStream::CommonRandomNumbers`] restores the v1 shape
-//!   (always draw the fault coin), which keeps the input stream
-//!   shared across different fault rates — use it to compare
-//!   `p_crash` settings variance-free. Runs with `p_crash > 0` are
-//!   bit-identical in both modes.
-//! * **v3** (current): hinted rules default to the **lane kernel** on
-//!   a counter-based Threefry generator. Draw `d` of trial `t` in
-//!   batch `i` is a pure function of `(seed, i, t, d)` — addressed,
-//!   not streamed — with the same per-trial draw *layout* as v2
-//!   (input, coin, and a fault coin only when it would be drawn), so
-//!   both [`FaultStream`] modes keep their v2 semantics. Because
-//!   trials no longer share a serialized generator, `LANES` trials
-//!   fill per inner step and lane width, thread count, batch
-//!   schedule, chaos replay, and checkpoint resume are all invariant
-//!   *by construction*. Opaque rules and [`Simulation::run_dyn`]
-//!   still run the exact v2 sequential stream, and
-//!   [`KernelStream::Sequential`] opts a hinted rule back onto it —
-//!   that is the bit-exact bridge the equivalence tests pin.
+//! * **v1**: one sequential xoshiro stream per batch; each player drew
+//!   input, coin and a fault coin, even at `p_crash = 0`.
+//! * **v2**: the v1 stream without the fault draw at `p_crash = 0`.
+//! * **v3**: hinted rules moved to the counter-addressed Threefry
+//!   lanes; opaque rules stayed on the v2 stream.
+//! * **v4** (current): every rule runs on the lanes. Uniform
+//!   `(kind, player)` of trial `t` in batch `i` is a pure function of
+//!   `(seed, i, t, kind, player)` — addressed, not streamed — and
+//!   inputs, coins and fault coins live in separate counter planes. A
+//!   run generates only the planes it reads: coins only for kernels
+//!   that use them, fault coins only when `p_crash > 0`. So a hinted
+//!   rule and the same rule hidden behind [`KernelHint::Opaque`]
+//!   report the same bits, every fault rate sees the same inputs, and
+//!   lane width, thread count, batch schedule, chaos replay and
+//!   checkpoint resume are all invariant by construction.
 //!
-//! Consequently, same-version estimates are bit-for-bit reproducible
-//! across thread counts, batch schedules, pool reuse, lane widths,
-//! buffered vs scalar sampling, and dyn vs monomorphized dispatch —
-//! but a v3 hinted estimate differs from the v2 estimate for the
-//! same seed (and v2 crash-free differed from v1). The expectation
-//! tests below were re-pinned against v3 deliberately.
+//! A v4 hinted estimate equals the v3 one for the same seed; a v4
+//! opaque estimate differs from the v3 (v2-stream) one.
 
 use crate::chaos::{self, ChaosPlan, ChaosUnwind, FaultKind};
-use crate::kernel::{
-    BufferedUniforms, GenericKernel, Kernel, LaneKernel, LaneUniforms, ObliviousKernel,
-    ScalarUniforms, ThresholdKernel, UniformSource,
-};
+use crate::kernel::{GenericKernel, LaneKernel, LaneUniforms, ObliviousKernel, ThresholdKernel};
 use crate::metrics::keys;
 use crate::pool::{Job, PoolConfig, WorkerPool};
 use crate::{SimulationError, SimulationReport};
-use decision::{Bin, KernelHint, LocalRule};
+use decision::{KernelHint, LocalRule};
 use obs::{Deadline, MetricsSink, NoopSink};
 use rand::counter::CounterKey;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
-/// Version of the per-batch RNG stream shape (see the
-/// [module docs](self) for the history).
-pub const RNG_STREAM_VERSION: u32 = 3;
+/// Version of the RNG stream (see the [module docs](self) for the
+/// history).
+pub const RNG_STREAM_VERSION: u32 = 4;
 
 /// Default trials per batch; shared with the instrumented
-/// [`load_stats`](crate::load_stats) loop so its stream stays
+/// [`load_stats`](crate::load_stats) replay so its stream stays
 /// bit-identical to the engine's.
 pub(crate) const DEFAULT_BATCH_SIZE: u64 = 16_384;
+
+/// Trials the lane loop advances per inner step. Every width is
+/// bit-identical (trial outcomes are pure functions of their own
+/// counters); 16 gives the Threefry round ladder two vector registers
+/// of independent lanes to overlap while the per-group scratch still
+/// fits in L1.
+const LANES: usize = 16;
 
 /// Default bound on how long a pooled run waits for worker results
 /// before reclaiming the missing batches itself; override with
@@ -90,63 +76,6 @@ pub(crate) const DEFAULT_BATCH_DEADLINE: Duration = Duration::from_secs(30);
 /// In-place retries allowed per batch before a panic is treated as a
 /// genuine bug and propagated.
 const MAX_BATCH_ATTEMPTS: u32 = 3;
-
-/// How the per-player fault coin is drawn (see the
-/// [module docs](self) for the stream-shape consequences).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FaultStream {
-    /// Draw the fault coin only when `p_crash > 0` — the fast path
-    /// for crash-free estimation.
-    #[default]
-    OnDemand,
-    /// Always draw the fault coin, even at `p_crash = 0`, so
-    /// estimates at different fault rates share one input stream
-    /// (the v1 stream shape).
-    CommonRandomNumbers,
-}
-
-/// How many trials the lane kernel advances per inner-loop step.
-///
-/// Every width produces bit-identical estimates (trial outcomes are
-/// pure functions of their own counters; the width only chooses how
-/// many are computed elementwise at once), so this is a pure
-/// performance knob. [`LaneWidth::W16`] is the default: two vector
-/// registers of lanes per Threefry word gives the round ladder's
-/// serial add–rotate–xor chains a second independent instruction
-/// stream to overlap (measurably ahead of `W8` on the reference
-/// container), while the per-group scratch still fits in L1.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LaneWidth {
-    /// One trial per step — the scalar instantiation the invariance
-    /// tests compare against.
-    W1,
-    /// Eight trials per step.
-    W8,
-    /// Sixteen trials per step (default).
-    #[default]
-    W16,
-}
-
-/// Which uniform stream hinted (threshold/oblivious) rules run on.
-///
-/// Opaque rules and [`Simulation::run_dyn`] always use the
-/// sequential v2 stream regardless of this setting; see the
-/// [module docs](self) stream-version history.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelStream {
-    /// The stream-v3 counter-based lane kernel (default).
-    Lanes(LaneWidth),
-    /// The sequential v2 stream through the buffered source — the
-    /// pre-v3 hinted path, kept bit-exact so hinted, opaque, and dyn
-    /// dispatch can still be compared draw for draw.
-    Sequential,
-}
-
-impl Default for KernelStream {
-    fn default() -> KernelStream {
-        KernelStream::Lanes(LaneWidth::default())
-    }
-}
 
 /// A deterministic, thread-parallel Monte-Carlo estimator of the
 /// winning probability `P_A(δ)` of any [`LocalRule`].
@@ -176,8 +105,6 @@ pub struct Simulation {
     seed: u64,
     threads: usize,
     batch_size: u64,
-    fault_stream: FaultStream,
-    kernel_stream: KernelStream,
     /// Lazily-spawned persistent workers, shared by clones (so
     /// [`Simulation::reseeded`] engines reuse the same threads).
     pool: Arc<OnceLock<WorkerPool>>,
@@ -199,8 +126,6 @@ impl std::fmt::Debug for Simulation {
             .field("seed", &self.seed)
             .field("threads", &self.threads)
             .field("batch_size", &self.batch_size)
-            .field("fault_stream", &self.fault_stream)
-            .field("kernel_stream", &self.kernel_stream)
             .field("pool", &self.pool)
             .field("chaos", &self.chaos)
             .field("batch_deadline", &self.batch_deadline)
@@ -215,15 +140,10 @@ impl std::fmt::Debug for Simulation {
 pub(crate) struct BatchTotals {
     /// Winning trials.
     pub(crate) wins: u64,
-    /// Uniform samples handed to the trial loop (logical draws: the
-    /// lane path reports the same `trials × players × per-player`
-    /// quantity the sequential sources count).
+    /// Uniforms the trials consume (logical draws:
+    /// `trials × players × per-player`).
     pub(crate) draws: u64,
-    /// Buffer refills performed by the uniform source (zero on the
-    /// counter-addressed lane path, which has no buffer).
-    pub(crate) refills: u64,
-    /// Threefry blocks computed by the lane path (zero on the
-    /// sequential paths).
+    /// Threefry blocks computed, tail lanes included.
     pub(crate) lane_blocks: u64,
     /// Batches executed.
     pub(crate) batches: u64,
@@ -234,7 +154,6 @@ impl BatchTotals {
     pub(crate) fn merge(&mut self, other: BatchTotals) {
         self.wins += other.wins;
         self.draws += other.draws;
-        self.refills += other.refills;
         self.lane_blocks += other.lane_blocks;
         self.batches += other.batches;
     }
@@ -251,61 +170,11 @@ struct TrialParams {
     draw_fault: bool,
 }
 
-/// One monomorphized way of turning a batch index into totals: a
-/// kernel paired with a stream discipline. The chaos/retry wrapper,
-/// the pool plumbing, and the scoped-thread runner are all generic
-/// over this, so every `(kernel, stream)` combination shares one set
-/// of orchestration code while keeping the trial loop fully inlined.
-///
-/// Implementations must be pure per batch: `batch_totals(params, b)`
-/// may depend only on its arguments and construction-time state,
-/// which is what makes chaos re-execution and coordinator reclaim
-/// bit-identical.
-trait TrialLoop: Sync {
-    /// Runs batch `batch` to completion and returns its totals.
-    fn batch_totals(&self, params: TrialParams, batch: u64) -> BatchTotals;
-}
-
-/// A kernel on the sequential (v1/v2) stream through uniform source
-/// `U` — the pre-v3 discipline, still the only one for opaque and
-/// dyn dispatch.
-struct SequentialLoop<K, U> {
-    kernel: K,
-    _uniforms: PhantomData<fn() -> U>,
-}
-
-impl<K, U> SequentialLoop<K, U> {
-    fn new(kernel: K) -> SequentialLoop<K, U> {
-        SequentialLoop {
-            kernel,
-            _uniforms: PhantomData,
-        }
-    }
-}
-
-impl<K: Kernel, U: UniformSource> TrialLoop for SequentialLoop<K, U> {
-    fn batch_totals(&self, params: TrialParams, batch: u64) -> BatchTotals {
-        run_batch::<K, U>(&self.kernel, params, batch)
-    }
-}
-
-/// A hinted kernel on the stream-v3 counter generator, `L` lanes per
-/// step.
-struct LaneLoop<K, const L: usize> {
-    kernel: K,
-}
-
-impl<K: LaneKernel, const L: usize> TrialLoop for LaneLoop<K, L> {
-    fn batch_totals(&self, params: TrialParams, batch: u64) -> BatchTotals {
-        run_lane_batch::<K, L>(&self.kernel, params, batch)
-    }
-}
-
 /// Shared state of one pooled run: workers and the submitting thread
 /// all drain batches from `next` and report per-batch totals to the
 /// coordinator.
-struct PooledRun<T> {
-    trial_loop: T,
+struct PooledRun<K> {
+    kernel: K,
     params: TrialParams,
     batches: u64,
     next: AtomicU64,
@@ -315,7 +184,7 @@ struct PooledRun<T> {
     sink: Arc<dyn MetricsSink>,
 }
 
-impl<T: TrialLoop> PooledRun<T> {
+impl<K: LaneKernel> PooledRun<K> {
     /// Claims and runs batches until the counter is exhausted,
     /// reporting each completed batch to the coordinator. An injected
     /// worker panic unwinds out of this loop (killing the drain job);
@@ -328,7 +197,7 @@ impl<T: TrialLoop> PooledRun<T> {
                 return;
             }
             let totals = execute_batch(
-                &self.trial_loop,
+                &self.kernel,
                 self.params,
                 batch,
                 self.chaos.as_deref(),
@@ -395,7 +264,7 @@ enum Attempt {
 }
 
 /// Runs one batch with bounded fault recovery. A clean engine compiles
-/// down to a single `run_batch` call behind an untaken branch; under a
+/// down to a single `run_lane_batch` call behind an untaken branch; under a
 /// [`ChaosPlan`] a panicking attempt is retried in place (counted as a
 /// recovered batch) up to [`MAX_BATCH_ATTEMPTS`], except that a pool
 /// worker lets an injected worker panic through so the coordinator's
@@ -404,8 +273,8 @@ enum Attempt {
 /// Re-execution is bit-identical by construction: the batch stream is
 /// a pure function of `(seed, batch)` and a fault arms strictly before
 /// any trial runs, so no partial state survives an unwind.
-fn execute_batch<T: TrialLoop>(
-    trial_loop: &T,
+fn execute_batch<K: LaneKernel>(
+    kernel: &K,
     params: TrialParams,
     batch: u64,
     chaos: Option<&ChaosPlan>,
@@ -413,13 +282,13 @@ fn execute_batch<T: TrialLoop>(
     attempt: Attempt,
 ) -> BatchTotals {
     if chaos.is_none() {
-        return trial_loop.batch_totals(params, batch);
+        return run_lane_batch::<K, LANES>(kernel, params, batch);
     }
     let mut tries = 0u32;
     loop {
         tries += 1;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            attempt_batch(trial_loop, params, batch, chaos, sink)
+            attempt_batch(kernel, params, batch, chaos, sink)
         }));
         match outcome {
             Ok(totals) => return totals,
@@ -437,8 +306,8 @@ fn execute_batch<T: TrialLoop>(
 
 /// One execution attempt: arm the batch's planned fault (first attempt
 /// only), then run the pure batch.
-fn attempt_batch<T: TrialLoop>(
-    trial_loop: &T,
+fn attempt_batch<K: LaneKernel>(
+    kernel: &K,
     params: TrialParams,
     batch: u64,
     chaos: Option<&ChaosPlan>,
@@ -456,7 +325,7 @@ fn attempt_batch<T: TrialLoop>(
             }
         }
     }
-    trial_loop.batch_totals(params, batch)
+    run_lane_batch::<K, LANES>(kernel, params, batch)
 }
 
 impl Simulation {
@@ -491,8 +360,6 @@ impl Simulation {
             seed,
             threads,
             batch_size: DEFAULT_BATCH_SIZE,
-            fault_stream: FaultStream::default(),
-            kernel_stream: KernelStream::default(),
             pool: Arc::new(OnceLock::new()),
             sink: Arc::new(NoopSink),
             chaos: None,
@@ -541,31 +408,6 @@ impl Simulation {
         }
         self.batch_size = batch_size;
         Ok(self)
-    }
-
-    /// Selects how the per-player fault coin is drawn; see
-    /// [`FaultStream`].
-    #[must_use]
-    pub fn with_fault_stream(mut self, fault_stream: FaultStream) -> Simulation {
-        self.fault_stream = fault_stream;
-        self
-    }
-
-    /// Selects the stream hinted rules run on (see [`KernelStream`]):
-    /// the default stream-v3 lane kernel at a chosen [`LaneWidth`],
-    /// or the sequential v2 stream for draw-for-draw comparison with
-    /// opaque and dyn dispatch.
-    #[must_use]
-    pub fn with_kernel_stream(mut self, kernel_stream: KernelStream) -> Simulation {
-        self.kernel_stream = kernel_stream;
-        self
-    }
-
-    /// Shorthand for [`Simulation::with_kernel_stream`] with
-    /// [`KernelStream::Lanes`] at the given width.
-    #[must_use]
-    pub fn with_lane_width(self, width: LaneWidth) -> Simulation {
-        self.with_kernel_stream(KernelStream::Lanes(width))
     }
 
     /// Attaches a metrics sink — typically an
@@ -660,11 +502,10 @@ impl Simulation {
     /// Estimates `P_A(δ)` when each player independently crashes (and
     /// drops its input) with probability `p_crash` per round.
     ///
-    /// Under the default [`FaultStream::OnDemand`] the fault coin is
-    /// only drawn when `p_crash > 0`; configure
-    /// [`FaultStream::CommonRandomNumbers`] (via
-    /// [`Simulation::with_fault_stream`]) to share the input stream
-    /// across fault rates.
+    /// The fault coins are drawn only when `p_crash > 0`, from their
+    /// own counter plane, so every fault rate (zero included) sees the
+    /// same inputs and coins: estimates at different `p_crash` are
+    /// paired on common random numbers.
     ///
     /// # Panics
     ///
@@ -686,69 +527,25 @@ impl Simulation {
                 // must describe exactly the rule's players.
                 contracts::invariant!(thresholds.len() == rule.n(), "kernel hint arity");
                 (
-                    self.run_hinted(ThresholdKernel::new(thresholds), params),
+                    self.run_owned(ThresholdKernel::new(thresholds), params),
                     keys::DISPATCH_THRESHOLD,
                 )
             }
             KernelHint::Oblivious(alpha) => {
                 contracts::invariant!(alpha.len() == rule.n(), "kernel hint arity");
                 (
-                    self.run_hinted(ObliviousKernel::new(alpha), params),
+                    self.run_owned(ObliviousKernel::new(alpha), params),
                     keys::DISPATCH_OBLIVIOUS,
                 )
             }
             _ => (
-                self.run_borrowed(
-                    &SequentialLoop::<_, BufferedUniforms>::new(GenericKernel(rule)),
-                    params,
-                ),
+                self.run_borrowed(&GenericKernel(rule), params),
                 keys::DISPATCH_OPAQUE,
             ),
         };
         self.flush_run(totals, dispatch);
         // Postcondition: the counter is a frequency over exactly the
         // requested trials, whatever the thread interleaving was.
-        contracts::invariant!(
-            totals.wins <= self.trials,
-            "wins {} > trials {}",
-            totals.wins,
-            self.trials
-        );
-        SimulationReport::from_counts(totals.wins, self.trials)
-    }
-
-    /// Estimates `P_A(δ)` through the fully-dynamic v1 loop: one
-    /// virtual call per decision and one scalar RNG call per uniform.
-    ///
-    /// Bit-identical to [`Simulation::run`] — kernels and buffering
-    /// are transparent — but slower; it exists as the dispatch
-    /// baseline for the `simulator_throughput` bench and the
-    /// kernel-equivalence tests.
-    #[must_use]
-    pub fn run_dyn(&self, rule: &dyn LocalRule, delta: f64) -> SimulationReport {
-        self.run_dyn_with_crashes(rule, delta, 0.0)
-    }
-
-    /// [`Simulation::run_dyn`] with crash faults; the baseline twin
-    /// of [`Simulation::run_with_crashes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p_crash` is not in `[0, 1]`.
-    #[must_use]
-    pub fn run_dyn_with_crashes(
-        &self,
-        rule: &dyn LocalRule,
-        delta: f64,
-        p_crash: f64,
-    ) -> SimulationReport {
-        assert!((0.0..=1.0).contains(&p_crash), "crash probability range"); // xtask:allow(no-panic): documented precondition
-        let params = self.trial_params(delta, p_crash);
-        let totals = self.run_borrowed(
-            &SequentialLoop::<_, ScalarUniforms>::new(GenericKernel(rule)),
-            params,
-        );
-        self.flush_run(totals, keys::DISPATCH_DYN);
         contracts::invariant!(
             totals.wins <= self.trials,
             "wins {} > trials {}",
@@ -796,17 +593,10 @@ impl Simulation {
         let sink = &*self.sink;
         sink.add(keys::RUNS, 1);
         sink.add(dispatch, 1);
-        // A lane run computes at least one Threefry block per batch
-        // (every rule has a player, every run a batch), so a nonzero
-        // block count identifies the lane path exactly.
-        if totals.lane_blocks > 0 {
-            sink.add(keys::DISPATCH_LANE, 1);
-        }
         sink.add(keys::TRIALS, self.trials);
         sink.add(keys::WINS, totals.wins);
         sink.add(keys::BATCHES, totals.batches);
         sink.add(keys::RNG_DRAWS, totals.draws);
-        sink.add(keys::RNG_REFILLS, totals.refills);
         sink.add(keys::RNG_LANE_BLOCKS, totals.lane_blocks);
     }
 
@@ -818,63 +608,28 @@ impl Simulation {
             batch_size: self.batch_size,
             delta,
             p_crash,
-            draw_fault: p_crash > 0.0 || self.fault_stream == FaultStream::CommonRandomNumbers,
+            draw_fault: p_crash > 0.0,
         }
     }
 
-    /// Runs a hinted kernel on the configured [`KernelStream`]: the
-    /// stream-v3 lane loop at the chosen width (monomorphized per
-    /// width), or the sequential v2 loop for bit-exact comparison
-    /// with the opaque/dyn paths.
-    fn run_hinted<K: LaneKernel + Send + Sync + 'static>(
+    /// Runs an owned (`'static`) kernel — sequentially, or on the
+    /// persistent pool when parallelism is planned.
+    fn run_owned<K: LaneKernel + Send + 'static>(
         &self,
         kernel: K,
         params: TrialParams,
     ) -> BatchTotals {
-        match self.kernel_stream {
-            KernelStream::Lanes(LaneWidth::W1) => {
-                self.run_owned(LaneLoop::<K, 1> { kernel }, params)
-            }
-            KernelStream::Lanes(LaneWidth::W8) => {
-                self.run_owned(LaneLoop::<K, 8> { kernel }, params)
-            }
-            KernelStream::Lanes(LaneWidth::W16) => {
-                self.run_owned(LaneLoop::<K, 16> { kernel }, params)
-            }
-            KernelStream::Sequential => {
-                self.run_owned(SequentialLoop::<K, BufferedUniforms>::new(kernel), params)
-            }
-        }
-    }
-
-    /// Runs an owned (`'static`) trial loop — sequentially, or on the
-    /// persistent pool when parallelism is planned.
-    fn run_owned<T: TrialLoop + Send + 'static>(
-        &self,
-        trial_loop: T,
-        params: TrialParams,
-    ) -> BatchTotals {
-        let batches = params.trials.div_ceil(params.batch_size);
         let workers = self.planned_workers();
         if workers == 1 {
-            let mut totals = BatchTotals::default();
-            for batch in 0..batches {
-                totals.merge(execute_batch(
-                    &trial_loop,
-                    params,
-                    batch,
-                    self.chaos.as_deref(),
-                    &*self.sink,
-                    Attempt::Coordinator,
-                ));
-            }
-            totals
+            // Sequential: the borrowed runner's one-thread loop.
+            self.run_borrowed(&kernel, params)
         } else {
-            self.run_pooled(trial_loop, params, batches, workers)
+            let batches = params.trials.div_ceil(params.batch_size);
+            self.run_pooled(kernel, params, batches, workers)
         }
     }
 
-    /// Ships an owned trial loop to the persistent pool: `workers - 1`
+    /// Ships an owned kernel to the persistent pool: `workers - 1`
     /// pool jobs plus the calling thread drain a shared batch
     /// counter, each completed batch reporting `(index, totals)` back
     /// to this coordinating thread.
@@ -887,9 +642,9 @@ impl Simulation {
     /// Determinism does not depend on any of this: batch `i`'s RNG
     /// stream is a pure function of `(seed, i)` and the totals are
     /// summed commutatively over exactly one completion per batch.
-    fn run_pooled<T: TrialLoop + Send + 'static>(
+    fn run_pooled<K: LaneKernel + Send + 'static>(
         &self,
-        trial_loop: T,
+        kernel: K,
         params: TrialParams,
         batches: u64,
         workers: usize,
@@ -907,7 +662,7 @@ impl Simulation {
         self.inject_worker_exits(pool);
         let deadline = Deadline::after(self.batch_deadline);
         let run = Arc::new(PooledRun {
-            trial_loop,
+            kernel,
             params,
             batches,
             next: AtomicU64::new(0),
@@ -939,7 +694,7 @@ impl Simulation {
                 break;
             }
             let totals = execute_batch(
-                &run.trial_loop,
+                &run.kernel,
                 params,
                 batch,
                 self.chaos.as_deref(),
@@ -966,7 +721,7 @@ impl Simulation {
             if !ledger.is_done(batch) {
                 self.sink.add(keys::RECOVERED_BATCHES, 1);
                 let totals = execute_batch(
-                    &run.trial_loop,
+                    &run.kernel,
                     params,
                     batch,
                     self.chaos.as_deref(),
@@ -1014,16 +769,16 @@ impl Simulation {
         }
     }
 
-    /// Runs a borrowed trial loop — sequentially, or on per-run
-    /// scoped threads. Borrowed loops (the [`GenericKernel`]
-    /// fallback) cannot ride the persistent pool, whose jobs must be
+    /// Runs a borrowed kernel — sequentially, or on per-run scoped
+    /// threads. Borrowed kernels (the [`GenericKernel`] fallback)
+    /// cannot ride the persistent pool, whose jobs must be
     /// `'static`.
     ///
     /// Scoped workers recover injected faults in place (the
     /// [`Attempt::Coordinator`] policy): scope joins are reliable and
     /// stalls are finite, so there is no lost-batch reclaim to
     /// exercise here and every wait stays bounded.
-    fn run_borrowed<T: TrialLoop>(&self, trial_loop: &T, params: TrialParams) -> BatchTotals {
+    fn run_borrowed<K: LaneKernel>(&self, kernel: &K, params: TrialParams) -> BatchTotals {
         let batches = params.trials.div_ceil(params.batch_size);
         let workers = self.planned_workers();
         let chaos = self.chaos.as_deref();
@@ -1031,7 +786,7 @@ impl Simulation {
             let mut totals = BatchTotals::default();
             for batch in 0..batches {
                 totals.merge(execute_batch(
-                    trial_loop,
+                    kernel,
                     params,
                     batch,
                     chaos,
@@ -1057,7 +812,7 @@ impl Simulation {
                             break;
                         }
                         local.merge(execute_batch(
-                            trial_loop,
+                            kernel,
                             params,
                             batch,
                             chaos,
@@ -1083,77 +838,17 @@ impl Simulation {
     }
 }
 
-/// The generator for batch `batch` of a run seeded with `seed`: a
-/// pure function of `(seed, batch)`, shared with the instrumented
-/// [`load_stats`](crate::load_stats) loop so its draws are
-/// bit-identical to the engine's.
-pub(crate) fn batch_rng(seed: u64, batch: u64) -> StdRng {
-    StdRng::seed_from_u64(splitmix(seed ^ batch.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-}
-
-/// Runs one deterministic batch: the RNG stream depends only on
-/// `(params.seed, batch)`. Monomorphized over both the kernel and the
-/// uniform source, so the compiled loop has the decision and the
-/// sampling inlined.
-fn run_batch<K: Kernel, U: UniformSource>(
-    kernel: &K,
-    params: TrialParams,
-    batch: u64,
-) -> BatchTotals {
-    // Precondition for determinism: the batch index must address a
-    // real slice of the trial range; the RNG stream below is a pure
-    // function of `(params.seed, batch)` and nothing else.
-    contracts::invariant!(
-        batch * params.batch_size < params.trials,
-        "batch out of range"
-    );
-    let start = batch * params.batch_size;
-    let count = params.batch_size.min(params.trials - start);
-    let mut uniforms = U::from(batch_rng(params.seed, batch));
-    let n = kernel.players();
-    let mut wins = 0u64;
-    for _ in 0..count {
-        let mut sums = [0.0f64; 2];
-        for player in 0..n {
-            let input = uniforms.next_unit();
-            let coin = uniforms.next_unit();
-            if params.draw_fault {
-                let fault = uniforms.next_unit();
-                if fault < params.p_crash {
-                    continue; // crashed: the input reaches neither bin
-                }
-            }
-            match kernel.decide(player, input, coin) {
-                Bin::Zero => sums[0] += input,
-                Bin::One => sums[1] += input,
-            }
-        }
-        if sums[0] <= params.delta && sums[1] <= params.delta {
-            wins += 1;
-        }
-    }
-    contracts::invariant!(wins <= count, "batch wins exceed batch size");
-    BatchTotals {
-        wins,
-        draws: uniforms.draws(),
-        refills: uniforms.refills(),
-        lane_blocks: 0,
-        batches: 1,
-    }
-}
-
-/// The Threefry key for a run seeded with `seed` — the stream-v3
-/// analogue of [`batch_rng`], shared with the instrumented
-/// [`load_stats`](crate::load_stats) replay so its draws are
-/// bit-identical to the engine's. Batch and trial live in the
+/// The Threefry key for a run seeded with `seed`, shared with the
+/// instrumented [`load_stats`](crate::load_stats) replay so its draws
+/// are bit-identical to the engine's. Batch and trial live in the
 /// counter, not the key, so one key covers the whole run.
 pub(crate) fn lane_key(seed: u64) -> CounterKey {
     CounterKey::from_seed(seed)
 }
 
-/// Runs one batch on the stream-v3 counter generator, `L` trials
-/// (lanes) per inner step. Monomorphized over the kernel and the lane
-/// width.
+/// Runs one batch on the counter generator, `L` trials (lanes) per
+/// inner step — the engine's only trial loop. Monomorphized over the
+/// kernel and the lane width.
 ///
 /// The loop is branch-free per player: the decision and the crash
 /// outcome become `{0.0, 1.0}` masks and both bin sums accumulate
@@ -1165,9 +860,9 @@ pub(crate) fn lane_key(seed: u64) -> CounterKey {
 /// and only the planes the run consumes are generated: inputs
 /// always, coins only when the kernel reads them
 /// ([`LaneKernel::USES_COINS`]), fault coins only under
-/// [`TrialParams::draw_fault`] — so both [`FaultStream`] modes keep
-/// their semantics while e.g. a threshold rule's crash-free run
-/// evaluates half the Threefry blocks an interleaved layout would.
+/// [`TrialParams::draw_fault`] — so e.g. a threshold rule's crash-free
+/// run evaluates half the Threefry blocks an interleaved layout would,
+/// and skipping a plane never moves the draws of another.
 /// Tail lanes past the batch's trial count are computed and
 /// discarded — counter addressing makes the waste harmless and the
 /// loop shape uniform.
@@ -1234,18 +929,17 @@ fn run_lane_batch<K: LaneKernel, const L: usize>(
     contracts::invariant!(wins <= count, "batch wins exceed batch size");
     BatchTotals {
         wins,
-        // Logical draws: the same conservation quantity the
-        // sequential sources count (tail-lane waste is compute, not
-        // stream consumption — nothing downstream ever sees it).
+        // Logical draws: input, coin and (when drawn) fault coin per
+        // player per trial, whichever planes the kernel generates.
+        // Tail-lane waste is compute, not stream consumption.
         draws: count * (n as u64) * per_player as u64,
-        refills: 0,
         lane_blocks: groups * uniforms.blocks_per_group(),
         batches: 1,
     }
 }
 
-/// SplitMix64 finalizer, decorrelating derived seeds (per-batch here,
-/// per-grid-point in [`crate::sweep_threshold`]).
+/// SplitMix64 finalizer, decorrelating derived seeds (per grid point
+/// in [`crate::sweep_threshold`], per fault in a [`ChaosPlan`]).
 pub(crate) fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -1263,7 +957,7 @@ mod tests {
     fn stream_version_is_pinned() {
         // Bump deliberately (with the module-docs history updated)
         // whenever the per-trial uniform consumption changes.
-        assert_eq!(RNG_STREAM_VERSION, 3);
+        assert_eq!(RNG_STREAM_VERSION, 4);
     }
 
     #[test]
@@ -1405,122 +1099,75 @@ mod tests {
         fn n(&self) -> usize {
             self.0.n()
         }
-        fn decide(&self, player: usize, input: f64, coin: f64) -> Bin {
+        fn decide(&self, player: usize, input: f64, coin: f64) -> decision::Bin {
             self.0.decide(player, input, coin)
         }
     }
 
     #[test]
-    fn dispatch_paths_are_bit_identical() {
-        // On the sequential stream, run (kernel + buffered), run over
-        // an opaque wrapper (virtual decide + buffered), and run_dyn
-        // (virtual decide + scalar draws) must agree exactly: kernels
-        // and buffering are transparent views of one logical stream.
-        // `KernelStream::Sequential` keeps hinted rules on that
-        // stream; the default lane path has its own invariance tests
-        // below.
-        let threshold = SingleThresholdAlgorithm::symmetric(4, Rational::ratio(5, 8)).unwrap();
-        let oblivious = ObliviousAlgorithm::fair(4);
-        for p_crash in [0.0, 0.3] {
-            let sim = Simulation::new(40_000, 31)
-                .with_batch_size(3_000)
-                .with_kernel_stream(KernelStream::Sequential);
-            let fast = sim.run_with_crashes(&threshold, 1.0, p_crash);
-            assert_eq!(
-                sim.run_with_crashes(&Opaque(&threshold), 1.0, p_crash),
-                fast
-            );
-            assert_eq!(sim.run_dyn_with_crashes(&threshold, 1.0, p_crash), fast);
-            let fast = sim.run_with_crashes(&oblivious, 1.0, p_crash);
-            assert_eq!(
-                sim.run_with_crashes(&Opaque(&oblivious), 1.0, p_crash),
-                fast
-            );
-            assert_eq!(sim.run_dyn_with_crashes(&oblivious, 1.0, p_crash), fast);
-        }
-    }
-
-    #[test]
-    fn lane_widths_are_bit_identical() {
-        // Stream v3 makes every draw a pure function of
-        // (seed, batch, trial, draw), so the lane width is pure
-        // compute shape: W1, W8, and W16 partition the same trials
-        // and must report byte-equal results.
+    fn opaque_and_hinted_paths_are_bit_identical() {
+        // Both paths run the same lane loop on the same planes: a
+        // hinted kernel and the virtual `decide` behind an opaque
+        // wrapper must report the same bits, with and without crashes.
         let threshold = SingleThresholdAlgorithm::symmetric(4, Rational::ratio(5, 8)).unwrap();
         let oblivious = ObliviousAlgorithm::fair(4);
         let rules: [&dyn decision::LocalRule; 2] = [&threshold, &oblivious];
         for rule in rules {
             for p_crash in [0.0, 0.3] {
-                let base = Simulation::new(40_000, 31)
-                    .with_batch_size(3_000)
-                    .run_with_crashes(rule, 1.0, p_crash);
-                for width in [LaneWidth::W1, LaneWidth::W8, LaneWidth::W16] {
-                    let r = Simulation::new(40_000, 31)
-                        .with_batch_size(3_000)
-                        .with_lane_width(width)
-                        .run_with_crashes(rule, 1.0, p_crash);
-                    assert_eq!(r, base, "width {width:?}, p_crash {p_crash}");
-                }
+                let sim = Simulation::new(40_000, 31).with_batch_size(3_000);
+                assert_eq!(
+                    sim.run_with_crashes(&Opaque(rule), 1.0, p_crash),
+                    sim.run_with_crashes(rule, 1.0, p_crash),
+                    "p_crash {p_crash}"
+                );
             }
         }
     }
 
-    #[test]
-    fn lane_and_sequential_streams_differ_but_agree_statistically() {
-        // The v3 counter stream is deliberately NOT draw-for-draw
-        // equal to the v2 sequential stream (different generators,
-        // different addressing) — but both are uniform, so the two
-        // estimates agree within Monte-Carlo error.
-        let rule = ObliviousAlgorithm::fair(3);
-        let lane = Simulation::new(400_000, 5).run(&rule, 1.0);
-        let sequential = Simulation::new(400_000, 5)
-            .with_kernel_stream(KernelStream::Sequential)
-            .run(&rule, 1.0);
-        assert_ne!(lane.wins, sequential.wins, "streams should be independent");
-        assert!(lane.agrees_with(sequential.estimate, 4.0), "{lane}");
+    /// Wins and logical draws of a whole run through
+    /// `run_lane_batch::<K, L>`, batch by batch.
+    fn lane_run<K: LaneKernel, const L: usize>(kernel: &K, params: TrialParams) -> (u64, u64) {
+        let mut totals = BatchTotals::default();
+        for batch in 0..params.trials.div_ceil(params.batch_size) {
+            totals.merge(run_lane_batch::<K, L>(kernel, params, batch));
+        }
+        (totals.wins, totals.draws)
     }
 
     #[test]
-    fn fault_stream_modes_agree_when_crashes_possible() {
-        // At p_crash > 0 the fault coin is drawn in both modes, so
-        // the streams — and hence the reports — are identical.
-        let rule = SingleThresholdAlgorithm::symmetric(3, Rational::ratio(1, 2)).unwrap();
-        let on_demand = Simulation::new(50_000, 13).run_with_crashes(&rule, 1.0, 0.3);
-        let common = Simulation::new(50_000, 13)
-            .with_fault_stream(FaultStream::CommonRandomNumbers)
-            .run_with_crashes(&rule, 1.0, 0.3);
-        assert_eq!(on_demand, common);
-    }
-
-    #[test]
-    fn fault_stream_modes_coincide_at_zero_crash_on_the_lane_stream() {
-        // Stream v3 addresses each draw kind in its own counter
-        // plane, so whether the fault plane is generated cannot
-        // perturb the input/coin draws: at p_crash = 0 the two fault
-        // stream modes are bit-identical — the common-random-numbers
-        // pairing the mode exists for is automatic on the lane path.
-        let rule = ObliviousAlgorithm::fair(3);
-        let on_demand = Simulation::new(50_000, 13).run(&rule, 1.0);
-        let common = Simulation::new(50_000, 13)
-            .with_fault_stream(FaultStream::CommonRandomNumbers)
-            .run(&rule, 1.0);
-        assert_eq!(on_demand, common);
-    }
-
-    #[test]
-    fn fault_stream_modes_diverge_at_zero_crash_on_the_sequential_stream() {
-        // The v2 sequential stream interleaves draws per player, so
-        // at p_crash = 0 the default mode consumes two uniforms per
-        // player and the common-random-numbers mode three: different
-        // streams, different (equally valid) estimates.
-        let rule = ObliviousAlgorithm::fair(3);
-        let sim = Simulation::new(50_000, 13).with_kernel_stream(KernelStream::Sequential);
-        let on_demand = sim.run(&rule, 1.0);
-        let common = sim
-            .clone()
-            .with_fault_stream(FaultStream::CommonRandomNumbers)
-            .run(&rule, 1.0);
-        assert_ne!(on_demand.wins, common.wins);
+    fn lane_widths_are_bit_identical() {
+        // Every draw is a pure function of (seed, batch, trial, kind,
+        // player), so the lane width is pure compute shape: W1, W8
+        // and W16 partition the same trials and must count the same
+        // wins. 40 000 trials in batches of 3 000 leave ragged tail
+        // groups at every width.
+        fn check<K: LaneKernel>(kernel: &K) {
+            for p_crash in [0.0, 0.3] {
+                let params = TrialParams {
+                    seed: 31,
+                    trials: 40_000,
+                    batch_size: 3_000,
+                    delta: 1.0,
+                    p_crash,
+                    draw_fault: p_crash > 0.0,
+                };
+                let base = lane_run::<K, 1>(kernel, params);
+                assert_eq!(
+                    lane_run::<K, 8>(kernel, params),
+                    base,
+                    "W8, p_crash {p_crash}"
+                );
+                assert_eq!(
+                    lane_run::<K, 16>(kernel, params),
+                    base,
+                    "W16, p_crash {p_crash}"
+                );
+            }
+        }
+        let threshold = SingleThresholdAlgorithm::symmetric(4, Rational::ratio(5, 8)).unwrap();
+        check(&ThresholdKernel::new(threshold.thresholds_f64()));
+        check(&ObliviousKernel::new(vec![0.5; 4]));
+        check(&GenericKernel(&threshold));
     }
 
     #[test]
@@ -1560,7 +1207,7 @@ mod tests {
         let rule = ObliviousAlgorithm::fair(5);
         // Common random numbers: both fault rates see the same inputs,
         // isolating the effect of the crashes themselves.
-        let sim = Simulation::new(150_000, 4).with_fault_stream(FaultStream::CommonRandomNumbers);
+        let sim = Simulation::new(150_000, 4);
         let reliable = sim.run_with_crashes(&rule, 1.0, 0.0);
         let flaky = sim.run_with_crashes(&rule, 1.0, 0.5);
         assert!(flaky.estimate > reliable.estimate);
@@ -1571,13 +1218,6 @@ mod tests {
     fn crash_probability_validated() {
         let rule = ObliviousAlgorithm::fair(2);
         let _ = Simulation::new(10, 1).run_with_crashes(&rule, 1.0, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "crash probability range")]
-    fn dyn_crash_probability_validated() {
-        let rule = ObliviousAlgorithm::fair(2);
-        let _ = Simulation::new(10, 1).run_dyn_with_crashes(&rule, 1.0, -0.5);
     }
 
     #[test]

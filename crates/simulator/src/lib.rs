@@ -10,9 +10,10 @@
 //!    across a persistent pool of worker threads with deterministic
 //!    per-batch seeding (same seed ⇒ same estimate, regardless of
 //!    thread count, scheduling, or pool reuse). The hot loop is
-//!    monomorphized per rule family and fed by a buffered uniform
-//!    sampler; see the [`engine`](Simulation) docs for the dispatch
-//!    layers and the RNG stream-version history.
+//!    monomorphized per rule family and fed by a counter-addressed
+//!    Threefry stream, sixteen trials per step; see the
+//!    [`engine`](Simulation) docs for the dispatch and the RNG
+//!    stream-version history.
 //! 2. **Structural fidelity** — [`DistributedSimulation`] runs each
 //!    player as its own thread that receives *only its own input* over
 //!    a channel and replies with a bin choice, so the
@@ -60,7 +61,7 @@ pub use antithetic::{run_antithetic, AntitheticReport};
 pub use chaos::{ChaosPlan, FaultKind};
 pub use checkpoint::{SweepCheckpoint, SWEEP_CHECKPOINT_SCHEMA};
 pub use distributed::DistributedSimulation;
-pub use engine::{FaultStream, KernelStream, LaneWidth, Simulation, RNG_STREAM_VERSION};
+pub use engine::{Simulation, RNG_STREAM_VERSION};
 pub use error::{SimulationError, SweepError};
 pub use metrics::{keys, EngineMetrics, MetricsSnapshot};
 pub use omniscient::full_information_win_rate;

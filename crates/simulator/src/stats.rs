@@ -1,28 +1,24 @@
 //! Load observability: per-bin statistics beyond the win/lose bit.
 //!
 //! [`load_stats`] replays the engine's exact trial stream — same
-//! per-batch addressing, same uniform draws, same monomorphized
-//! kernels — while additionally accounting per-bin loads, occupancy,
-//! and overflow coincidences on the very same draws. Its headline
-//! `report` is therefore bit-identical to [`Simulation::run`] at the
-//! same `(rule, delta, trials, seed)`; earlier revisions drew a
-//! private scalar stream and disagreed with the engine (the regression
-//! test below pins the fix).
+//! per-batch counter addressing, same uniform draws, same
+//! monomorphized kernels — while additionally accounting per-bin
+//! loads, occupancy, and overflow coincidences on the very same draws.
+//! Its headline `report` is therefore bit-identical to
+//! [`Simulation::run`] at the same `(rule, delta, trials, seed)`;
+//! earlier revisions drew a private scalar stream and disagreed with
+//! the engine (the regression test below pins the fix).
 //!
-//! Hinted rules replay the stream-v3 counter addressing the engine's
-//! default lane path uses (scalar [`lane_draw`] replays are
-//! bit-identical to any lane width because every draw is a pure
-//! function of `(seed, batch, trial, draw)`); opaque rules replay the
-//! sequential buffered v2 stream, matching the engine's opaque
-//! fallback.
+//! The replay is scalar [`lane_draw`] calls, bit-identical to any lane
+//! width because every draw is a pure function of
+//! `(seed, batch, trial, kind, player)`.
 
-use crate::engine::{batch_rng, lane_key, DEFAULT_BATCH_SIZE};
+use crate::engine::{lane_key, DEFAULT_BATCH_SIZE};
 use crate::kernel::{
-    lane_draw, BufferedUniforms, DrawKind, GenericKernel, Kernel, ObliviousKernel, ThresholdKernel,
-    UniformSource,
+    lane_draw, DrawKind, GenericKernel, LaneKernel, ObliviousKernel, ThresholdKernel,
 };
 use crate::SimulationReport;
-use decision::{Bin, KernelHint, LocalRule};
+use decision::{KernelHint, LocalRule};
 
 /// Per-bin load statistics from an instrumented simulation run.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,11 +54,11 @@ struct LoadAccumulator {
 /// Runs an instrumented (single-threaded, deterministic) simulation
 /// collecting per-bin load statistics.
 ///
-/// The trial loop is the engine's: trials are split into
-/// fixed batches, batch `i` draws from the stream derived from
-/// `(seed, i)` through the same buffered source, and the rule is
-/// dispatched onto the same monomorphized kernels via
-/// [`decision::KernelHint`]. Only the accounting differs.
+/// The trial loop is the engine's: trials are split into fixed
+/// batches, batch `i` draws the counter-addressed uniforms of
+/// `(seed, i)`, and the rule is dispatched onto the same
+/// monomorphized kernels via [`decision::KernelHint`]. Only the
+/// accounting differs.
 ///
 /// # Panics
 ///
@@ -87,11 +83,11 @@ pub fn load_stats(rule: &dyn LocalRule, delta: f64, trials: u64, seed: u64) -> L
     let acc = match rule.kernel_hint() {
         KernelHint::Threshold(thresholds) => {
             contracts::invariant!(thresholds.len() == rule.n(), "kernel hint arity");
-            collect_loads_lane(&ThresholdKernel::new(thresholds), delta, trials, seed)
+            collect_loads(&ThresholdKernel::new(thresholds), delta, trials, seed)
         }
         KernelHint::Oblivious(alpha) => {
             contracts::invariant!(alpha.len() == rule.n(), "kernel hint arity");
-            collect_loads_lane(&ObliviousKernel::new(alpha), delta, trials, seed)
+            collect_loads(&ObliviousKernel::new(alpha), delta, trials, seed)
         }
         _ => collect_loads(&GenericKernel(rule), delta, trials, seed),
     };
@@ -106,56 +102,17 @@ pub fn load_stats(rule: &dyn LocalRule, delta: f64, trials: u64, seed: u64) -> L
     }
 }
 
-/// The engine's sequential (opaque-fallback) trial loop with load
-/// accounting bolted on: per-batch [`batch_rng`] streams through
-/// [`BufferedUniforms`], two uniforms per player (the crash-free v2
-/// stream shape), and the win condition evaluated on the
-/// identically-accumulated bin sums.
-fn collect_loads<K: Kernel>(kernel: &K, delta: f64, trials: u64, seed: u64) -> LoadAccumulator {
-    let mut acc = LoadAccumulator::default();
-    let n = kernel.players();
-    let batches = trials.div_ceil(DEFAULT_BATCH_SIZE);
-    for batch in 0..batches {
-        let start = batch * DEFAULT_BATCH_SIZE;
-        let count = DEFAULT_BATCH_SIZE.min(trials - start);
-        let mut uniforms = BufferedUniforms::from(batch_rng(seed, batch));
-        for _ in 0..count {
-            let mut sums = [0.0f64; 2];
-            for player in 0..n {
-                let input = uniforms.next_unit();
-                let coin = uniforms.next_unit();
-                account_choice(
-                    &mut acc,
-                    &mut sums,
-                    kernel.decide(player, input, coin),
-                    input,
-                );
-            }
-            account_trial(&mut acc, delta, sums);
-        }
-    }
-    check_inclusion_exclusion(&acc, trials);
-    acc
-}
-
-/// The engine's lane-path trial stream with load accounting bolted
-/// on: every uniform is the stream-v3 counter draw
-/// `lane_draw(seed-key, batch, trial, kind, player)`. Coins are drawn
-/// here even for rules that ignore them — the engine skips
-/// generating that plane, but the draws exist in the addressed
-/// stream and a coin-blind `decide` returns the same bin either way.
-/// Branchy accumulation here matches the lane kernel's masked
-/// accumulation bit-for-bit (masks are exactly `0.0`/`1.0` and
-/// adding `+0.0` to a non-negative sum is identity), so `report`
-/// equals [`Simulation::run`] on any lane width.
+/// The engine's trial stream with load accounting bolted on: every
+/// uniform is the counter draw
+/// `lane_draw(seed-key, batch, trial, kind, player)`, and the coin is
+/// drawn only for kernels that read it, as in the engine. Branchy
+/// accumulation here matches the lane kernel's masked accumulation
+/// bit-for-bit (masks are exactly `0.0`/`1.0` and adding `+0.0` to a
+/// non-negative sum is identity), so `report` equals
+/// [`Simulation::run`] on any lane width.
 ///
 /// [`Simulation::run`]: crate::Simulation::run
-fn collect_loads_lane<K: Kernel>(
-    kernel: &K,
-    delta: f64,
-    trials: u64,
-    seed: u64,
-) -> LoadAccumulator {
+fn collect_loads<K: LaneKernel>(kernel: &K, delta: f64, trials: u64, seed: u64) -> LoadAccumulator {
     let key = lane_key(seed);
     let mut acc = LoadAccumulator::default();
     let n = kernel.players();
@@ -167,34 +124,20 @@ fn collect_loads_lane<K: Kernel>(
             let mut sums = [0.0f64; 2];
             for player in 0..n {
                 let input = lane_draw(&key, batch, trial, DrawKind::Input, player);
-                let coin = lane_draw(&key, batch, trial, DrawKind::Coin, player);
-                account_choice(
-                    &mut acc,
-                    &mut sums,
-                    kernel.decide(player, input, coin),
-                    input,
-                );
+                let coin = if K::USES_COINS {
+                    lane_draw(&key, batch, trial, DrawKind::Coin, player)
+                } else {
+                    0.0
+                };
+                let bin = usize::from(!kernel.sends_to_zero(player, input, coin));
+                sums[bin] += input;
+                acc.occupancy[bin] += 1;
             }
             account_trial(&mut acc, delta, sums);
         }
     }
     check_inclusion_exclusion(&acc, trials);
     acc
-}
-
-/// Adds one player's input to the bin their rule chose.
-#[inline]
-fn account_choice(acc: &mut LoadAccumulator, sums: &mut [f64; 2], bin: Bin, input: f64) {
-    match bin {
-        Bin::Zero => {
-            sums[0] += input;
-            acc.occupancy[0] += 1;
-        }
-        Bin::One => {
-            sums[1] += input;
-            acc.occupancy[1] += 1;
-        }
-    }
 }
 
 /// Folds one finished trial's bin sums into the accumulator.
@@ -231,7 +174,7 @@ fn check_inclusion_exclusion(acc: &LoadAccumulator, trials: u64) {
 mod tests {
     use super::*;
     use crate::Simulation;
-    use decision::{ObliviousAlgorithm, SingleThresholdAlgorithm};
+    use decision::{Bin, ObliviousAlgorithm, SingleThresholdAlgorithm};
     use rational::Rational;
 
     #[test]

@@ -12,10 +12,9 @@
 //! `seed ^ k · 0x9e37`, which reused the base seed verbatim at
 //! `k = 0` and only perturbed low bits across points; the regression
 //! tests below pin the fixed derivation (distinct per-point seeds,
-//! `k = 0` decorrelated from the base seed). The SplitMix64 stream is
-//! also structurally distinct from the engine's *batch* seed
-//! derivation (xor-then-finalize), so point streams and batch streams
-//! never coincide by construction.
+//! `k = 0` decorrelated from the base seed). Each point's seed keys
+//! its own Threefry stream, and within a point batches and trials are
+//! distinct counters under that key.
 
 use crate::checkpoint::SweepCheckpoint;
 use crate::engine::splitmix;

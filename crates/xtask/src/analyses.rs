@@ -23,7 +23,7 @@ pub const ANALYSES: &[Lint] = &[
     },
     Lint {
         id: "hot-path-alloc",
-        summary: "forbid allocation in monomorphized kernel fns and the uniforms refill path",
+        summary: "forbid allocation in monomorphized kernel fns and the lane-fill path",
         check: hot_path_alloc,
     },
 ];
@@ -64,9 +64,8 @@ fn seed_named(text: &str) -> bool {
 /// StdRng { StdRng::seed_from_u64(x) }`) breaks the audit trail from
 /// `SimulationParams::seed` to the stream and is exactly what this
 /// pass flags: the fix is to carry `seed` in the name across the call
-/// boundary, as [`batch_rng`'s] signature does.
-///
-/// [`batch_rng`'s]: https://example.invalid/ "crates/simulator/src/engine.rs"
+/// boundary, as `lane_key(seed)` in `crates/simulator/src/engine.rs`
+/// does.
 fn determinism_flow(file: &SourceFile) -> Vec<Violation> {
     if file.kind != FileKind::Lib {
         return Vec::new();
@@ -421,30 +420,22 @@ fn guard_binding(file: &SourceFile, code: &[usize], k: usize) -> Option<(String,
 const ALLOC_METHODS: &[&str] = &["collect", "clone", "to_vec", "to_owned"];
 
 /// `true` when `f` is one of the functions the batch throughput
-/// depends on: the monomorphized batch runners (sequential and
-/// lane-batched), the kernel decision methods, the uniform-source
-/// draw/refill path, and the stream-v3 counter pipeline (the Threefry
-/// ladder, its unit conversion, the lane-group plane fill, and the
-/// per-draw replay accessor). These execute per trial — or per lane
-/// group, or per 256 draws; one stray allocation there undoes the
-/// monomorphization win. `LaneUniforms::new` is the one cold spot in
-/// its impl: it allocates the plane rows exactly once per batch so
-/// `fill` never has to.
+/// depends on: the monomorphized lane-batch runner, the kernel
+/// decision methods (a rule's own `decide` included: the fallback
+/// kernel calls it per decision), and the counter pipeline (the Threefry ladder,
+/// its unit conversion, the lane-group plane fill, and the per-draw
+/// replay accessor). These execute per trial or per lane group; one
+/// stray allocation there undoes the monomorphization win.
+/// `LaneUniforms::new` is the one cold spot in its impl: it allocates
+/// the plane rows exactly once per batch so `fill` never has to.
 fn is_hot_path(f: &FnView<'_>) -> bool {
-    f.item.name == "run_batch"
-        || f.item.name == "run_lane_batch"
-        || f.qualified.starts_with("BufferedUniforms::")
-        || f.qualified.starts_with("ScalarUniforms::")
+    f.item.name == "run_lane_batch"
         || (f.qualified.starts_with("LaneUniforms") && f.item.name != "new")
         || matches!(
             f.item.name.as_str(),
             "threefry4x64_lanes" | "threefry4x64" | "word_to_unit" | "lane_draw"
         )
-        || (!f.is_free
-            && matches!(
-                f.item.name.as_str(),
-                "decide" | "players" | "next_unit" | "refill" | "sends_to_zero"
-            ))
+        || (!f.is_free && matches!(f.item.name.as_str(), "decide" | "players" | "sends_to_zero"))
 }
 
 /// Hot-path-alloc: forbid `Vec::new`, `vec!`, `Box::new`, `.collect()`,
@@ -517,7 +508,7 @@ mod tests {
     #[test]
     fn seed_param_traces_through_arithmetic() {
         let f = lib(
-            "fn batch_rng(seed: u64, batch: u64) -> StdRng {\n    StdRng::seed_from_u64(splitmix(seed ^ batch.wrapping_mul(0x9e37)))\n}\n",
+            "fn point_rng(seed: u64, batch: u64) -> StdRng {\n    StdRng::seed_from_u64(splitmix(seed ^ batch.wrapping_mul(0x9e37)))\n}\n",
         );
         assert!(determinism_flow(&f).is_empty());
     }
@@ -635,19 +626,9 @@ mod tests {
     }
 
     #[test]
-    fn collect_in_run_batch_fires() {
+    fn clone_in_players_method_fires_and_cold_fn_is_exempt() {
         let f = lib(
-            "fn run_batch<K: Kernel>(kernel: &K) -> Vec<u64> {\n    (0..4).map(|i| i).collect()\n}\n",
-        );
-        let v = hot_path_alloc(&f);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
-    }
-
-    #[test]
-    fn clone_in_refill_method_fires_and_cold_fn_is_exempt() {
-        let f = lib(
-            "impl BufferedUniforms {\n    fn refill(&mut self) {\n        let b = self.buffer.clone();\n    }\n}\nfn setup() -> Vec<u64> {\n    vec![1, 2].to_vec()\n}\n",
+            "impl LaneKernel for ThresholdKernel {\n    fn players(&self) -> usize {\n        let t = self.thresholds.clone();\n        t.len()\n    }\n}\nfn setup() -> Vec<u64> {\n    vec![1, 2].to_vec()\n}\n",
         );
         let v = hot_path_alloc(&f);
         assert_eq!(v.len(), 1);
@@ -702,7 +683,7 @@ mod tests {
     #[test]
     fn alloc_free_hot_path_is_clean() {
         let f = lib(
-            "impl BufferedUniforms {\n    fn next_unit(&mut self) -> f64 {\n        let sample = self.buffer[self.next];\n        self.next += 1;\n        sample\n    }\n}\n",
+            "impl<const L: usize> LaneUniforms<L> {\n    fn input(&self, player: usize) -> [f64; L] {\n        self.rows[player]\n    }\n}\n",
         );
         assert!(hot_path_alloc(&f).is_empty());
     }

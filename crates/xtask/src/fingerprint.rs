@@ -32,10 +32,12 @@ pub const SUMMARY: &str =
 const VERSION_FILE: &str = "crates/simulator/src/engine.rs";
 
 /// `(path, qualified fn)` pairs whose token streams determine the RNG
-/// stream: the generator cores (sequential xoshiro and the stream-v3
-/// Threefry counter pipeline), the per-batch seeding and keying, the
-/// draw loops, and every uniform source. Growing this list is cheap;
-/// every entry is one more function that cannot drift silently.
+/// streams: the Threefry counter pipeline with its keying, plane fill,
+/// replay and the engine's one trial loop; the seed derivation shared
+/// by sweeps and chaos plans; and the xoshiro generator with its range
+/// sampling, which the antithetic, omniscient and distributed
+/// estimators draw from. Growing this list is cheap; every entry is
+/// one more function that cannot drift silently.
 pub const CRITICAL_FNS: &[(&str, &str)] = &[
     ("crates/rand/src/lib.rs", "splitmix64"),
     ("crates/rand/src/lib.rs", "StdRng::seed_from_u64"),
@@ -49,19 +51,8 @@ pub const CRITICAL_FNS: &[(&str, &str)] = &[
     ("crates/rand/src/lib.rs", "threefry4x64"),
     ("crates/rand/src/lib.rs", "word_to_unit"),
     ("crates/simulator/src/engine.rs", "splitmix"),
-    ("crates/simulator/src/engine.rs", "batch_rng"),
-    ("crates/simulator/src/engine.rs", "run_batch"),
     ("crates/simulator/src/engine.rs", "lane_key"),
     ("crates/simulator/src/engine.rs", "run_lane_batch"),
-    (
-        "crates/simulator/src/kernel.rs",
-        "ScalarUniforms::next_unit",
-    ),
-    ("crates/simulator/src/kernel.rs", "BufferedUniforms::refill"),
-    (
-        "crates/simulator/src/kernel.rs",
-        "BufferedUniforms::next_unit",
-    ),
     ("crates/simulator/src/kernel.rs", "LaneUniforms::fill"),
     ("crates/simulator/src/kernel.rs", "lane_draw"),
 ];

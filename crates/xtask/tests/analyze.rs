@@ -91,10 +91,10 @@ fn hot_path_alloc_fires_inside_hot_fns_only() {
         FileKind::Lib,
     );
     let v = check_file(&f);
-    // collect in run_batch; clone + vec! in refill; Vec::new in
-    // decide. Cold construction, cold helpers, the clean next_unit,
-    // and the waived probe stay silent.
-    assert_eq!(lines(&v, "hot-path-alloc"), vec![6, 12, 13, 28], "{v:?}");
+    // collect in run_lane_batch; clone + vec! in fill; Vec::new in
+    // decide. Cold construction, cold helpers, the clean row
+    // accessor, and the waived probe stay silent.
+    assert_eq!(lines(&v, "hot-path-alloc"), vec![6, 12, 13, 26], "{v:?}");
 }
 
 #[test]

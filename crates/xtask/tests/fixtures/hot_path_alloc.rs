@@ -1,24 +1,22 @@
 //! Fixture for the hot-path-alloc analysis: allocation in the
-//! monomorphized kernel/refill path.
+//! monomorphized kernel/lane-fill path.
 
 /// BAD: collect inside the batch runner.
-fn run_batch<K: Kernel>(kernel: &K, count: u64) -> Vec<u64> {
+fn run_lane_batch<K: LaneKernel, const L: usize>(kernel: &K, count: u64) -> Vec<u64> {
     (0..count).map(|i| kernel.score(i)).collect()
 }
 
-impl BufferedUniforms {
-    /// BAD: clone and a vec! literal in the refill path.
-    fn refill(&mut self) {
-        let staged = self.buffer.clone();
+impl<const L: usize> LaneUniforms<L> {
+    /// BAD: clone and a vec! literal in the plane fill.
+    fn fill(&mut self, trial0: u64) {
+        let staged = self.rows.clone();
         let scratch = vec![0.0f64; 4];
-        let _ = (staged, scratch);
+        let _ = (staged, scratch, trial0);
     }
 
-    /// GOOD: the straight buffer walk allocates nothing.
-    fn next_unit(&mut self) -> f64 {
-        let sample = self.buffer[self.next];
-        self.next += 1;
-        sample
+    /// GOOD: the row accessor allocates nothing.
+    fn input(&self, player: usize) -> [f64; L] {
+        self.rows[player]
     }
 }
 
@@ -42,12 +40,12 @@ fn summarize(totals: &[u64]) -> Vec<u64> {
     totals.to_vec()
 }
 
-impl ScalarUniforms {
+impl LaneKernel for ObliviousKernel {
     /// Waived: a justified exception inside the hot path stays silent.
-    fn next_unit(&mut self) -> f64 {
+    fn sends_to_zero(&self, player: usize, _input: f64, coin: f64) -> bool {
         // xtask:allow(hot-path-alloc): fixture waiver — audit probe clones a 2-element array
         let probe = self.audit.clone();
         let _ = probe;
-        self.rng.gen_range(0.0..1.0)
+        coin < self.alpha[player]
     }
 }

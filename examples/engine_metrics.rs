@@ -1,6 +1,6 @@
 //! Engine observability end to end: attach an `EngineMetrics` sink,
-//! run a mixed workload (parallel estimation, crash faults, the dyn
-//! baseline, an instrumented sweep), and export the audited counters
+//! run a mixed workload (parallel estimation, crash faults, an opaque
+//! rule, an instrumented sweep), and export the audited counters
 //! as an `engine-metrics/v1` JSON document.
 //!
 //! The headline property: metrics are *observational*. Every estimate
@@ -12,11 +12,25 @@
 //! (default output: `results/engine_metrics.json`; CI validates the
 //! document with `cargo xtask metrics-check`).
 
-use nocomm::decision::{ObliviousAlgorithm, SingleThresholdAlgorithm};
+use nocomm::decision::{Bin, LocalRule, ObliviousAlgorithm, SingleThresholdAlgorithm};
 use nocomm::rational::Rational;
 use nocomm::simulator::{sweep_threshold_with_metrics, EngineMetrics, Simulation};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// A rule that hides its kernel hint, as a user-defined rule does: the
+/// engine runs it through the per-decision fallback kernel.
+struct Opaque(ObliviousAlgorithm);
+
+impl LocalRule for Opaque {
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+
+    fn decide(&self, player: usize, input: f64, coin: f64) -> Bin {
+        self.0.decide(player, input, coin)
+    }
+}
 
 fn main() {
     let out = output_path();
@@ -40,7 +54,10 @@ fn main() {
         "  with crash faults  : {}",
         sim.run_with_crashes(&threshold, 1.0, 0.25)
     );
-    println!("  dyn baseline       : {}", sim.run_dyn(&oblivious, 1.0));
+    println!(
+        "  opaque rule        : {}",
+        sim.run(&Opaque(oblivious.clone()), 1.0)
+    );
 
     let sweep = sweep_threshold_with_metrics(3, 1.0, 16, 20_000, 7, metrics.clone())
         .expect("valid sweep parameters");
@@ -71,7 +88,7 @@ fn main() {
     let expected_draws = trials * 3 * 2   // threshold, crash-free
         + trials * 4 * 2                  // oblivious, crash-free
         + trials * 3 * 3                  // threshold with fault coins
-        + trials * 4 * 2                  // dyn baseline
+        + trials * 4 * 2                  // opaque rule
         + 17 * 20_000 * 3 * 2; // sweep grid points
     assert_eq!(snap.rng_draws, expected_draws, "draw conservation");
     println!("\ndraw conservation holds: {expected_draws} uniforms accounted for ✓");

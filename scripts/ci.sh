@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# The full local gate, identical to .github/workflows/ci.yml:
-#   fmt -> static analyzer -> examples build -> tests (incl. doc-tests)
-#   -> tests with hard invariants -> bench smoke -> bench check
-#   -> metrics smoke -> shard smoke -> service smoke -> table check
-#   -> analyze smoke (runtime budget).
+# The full gate; .github/workflows/ci.yml runs this script after
+# checkout and toolchain set-up, so the step list lives here only:
+#   fmt -> static analyzer -> clippy -> examples build -> tests (incl.
+#   doc-tests) -> tests with hard invariants -> bench smoke -> bench
+#   check -> metrics smoke -> chaos smoke -> shard smoke -> service
+#   smoke -> table check -> analyze smoke (runtime budget).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -13,6 +14,9 @@ cargo fmt --all --check
 
 echo "==> cargo xtask analyze"
 cargo run --package xtask --quiet -- analyze
+
+echo "==> cargo clippy"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build (examples)"
 cargo build --workspace --examples
@@ -48,6 +52,17 @@ metrics_out="${TMPDIR:-/tmp}/engine_metrics.ci.json"
 cargo run --release --quiet --example engine_metrics -- --out "$metrics_out"
 cargo run --package xtask --quiet -- metrics-check "$metrics_out"
 rm -f "$metrics_out"
+
+echo "==> chaos smoke (chaos_smoke + chaos-check)"
+# Injects worker panics, poisoned refills, stragglers and worker
+# deaths into a metered run; the chaos-smoke/v1 report (recovered
+# batches, bit-equal totals) must satisfy the checker, and so must the
+# committed artifact.
+chaos_out="${TMPDIR:-/tmp}/chaos_smoke.ci.json"
+cargo run --release --quiet --example chaos_smoke -- --out "$chaos_out"
+cargo run --package xtask --quiet -- chaos-check "$chaos_out"
+cargo run --package xtask --quiet -- chaos-check results/chaos_smoke.json
+rm -f "$chaos_out"
 
 echo "==> shard smoke (nocomm-shard + shard-check)"
 # Proves crash-surviving orchestration end to end: a fault-free and a
